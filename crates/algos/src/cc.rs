@@ -20,26 +20,24 @@
 use crate::persist::{self, StateLoadError};
 use incgraph_core::engine::{Engine, RunStats};
 use incgraph_core::metrics::BoundednessReport;
-use incgraph_core::par::ParEngine;
-use incgraph_core::scope::{bounded_scope_in, pe_reset_scope_in, ContributorOracle, ScopeScratch};
+use incgraph_core::scope::{bounded_scope, pe_reset_scope, ContributorOracle, ScopeScratch};
 use incgraph_core::spec::{FixpointSpec, Relax};
 use incgraph_core::status::Status;
-use incgraph_graph::{AppliedBatch, CsrSnapshot, DynamicGraph, GraphView, NodeId};
+use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId};
 
 /// Component label type (a node id).
 pub type CompId = u32;
 
-/// The CC fixpoint specification over an (undirected) graph snapshot,
-/// generic over the storage layout (live adjacency, CSR, CSR + overlay).
-pub struct CcSpec<'g, G: GraphView = DynamicGraph> {
-    g: &'g G,
+/// The CC fixpoint specification over an (undirected) graph.
+pub struct CcSpec<'g> {
+    g: &'g DynamicGraph,
 }
 
-impl<'g, G: GraphView> CcSpec<'g, G> {
+impl<'g> CcSpec<'g> {
     /// Specification over `g`. CC is defined on undirected graphs; for a
     /// directed graph this computes weakly connected components using the
     /// union of both adjacency directions.
-    pub fn new(g: &'g G) -> Self {
+    pub fn new(g: &'g DynamicGraph) -> Self {
         CcSpec { g }
     }
 
@@ -55,7 +53,7 @@ impl<'g, G: GraphView> CcSpec<'g, G> {
     }
 }
 
-impl<G: GraphView> FixpointSpec for CcSpec<'_, G> {
+impl FixpointSpec for CcSpec<'_> {
     type Value = CompId;
 
     fn num_vars(&self) -> usize {
@@ -145,8 +143,6 @@ impl ContributorOracle<CompId> for CcOracle<'_> {
 pub struct CcState {
     status: Status<CompId>,
     engine: Engine,
-    threads: usize,
-    par: Option<ParEngine>,
     /// Reusable arena for the scope function: epoch-reset bitmaps and
     /// high-water vectors make steady-state updates allocation-free.
     scratch: ScopeScratch,
@@ -164,88 +160,20 @@ impl CcState {
             CcState {
                 status,
                 engine,
-                threads: 1,
-                par: None,
                 scratch: ScopeScratch::new(),
             },
             stats,
         )
-    }
-
-    /// Runs batch `CC_fp` with the sharded parallel engine over a flat
-    /// CSR snapshot of `g`; subsequent updates keep using `threads`
-    /// shards. Fixpoint values are identical to [`batch`](Self::batch).
-    pub fn batch_par(g: &DynamicGraph, threads: usize) -> (Self, RunStats) {
-        let threads = threads.max(1);
-        let csr = CsrSnapshot::new(g);
-        let spec = CcSpec::new(&csr);
-        let mut status = Status::init(&spec, true);
-        let mut par = ParEngine::new(spec.num_vars(), threads);
-        let stats = par.run(&spec, &mut status, 0..spec.num_vars());
-        (
-            CcState {
-                status,
-                engine: Engine::new(g.node_count()),
-                threads,
-                par: Some(par),
-                scratch: ScopeScratch::new(),
-            },
-            stats,
-        )
-    }
-
-    /// Sets the number of worker shards for subsequent fixpoint runs
-    /// (1 = the sequential engine).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Resumes the step function over `scope` on the configured engine:
-    /// the parallel engine when `threads > 1` or one is already attached
-    /// (inline bucket-queue at 1 shard), the sequential heap otherwise.
-    fn resume<G: GraphView>(&mut self, spec: &CcSpec<'_, G>, scope: &[usize]) -> RunStats {
-        if self.threads > 1 || self.par.is_some() {
-            let fresh = !matches!(&self.par,
-                Some(p) if p.num_vars() == spec.num_vars() && p.nthreads() == self.threads);
-            if fresh {
-                self.par = Some(ParEngine::new(spec.num_vars(), self.threads));
-            }
-            let par = self.par.as_mut().expect("just ensured");
-            par.set_work_budget(self.engine.work_budget());
-            let stats = par.run(spec, &mut self.status, scope.iter().copied());
-            if !stats.poisoned {
-                return stats;
-            }
-            // A shard panicked; nothing was written back. Degrade to the
-            // sequential engine permanently and resume from the same
-            // pre-run state (C2 gives the same fixpoint); `poisoned`
-            // survives in the merged stats.
-            self.par = None;
-            self.threads = 1;
-            let mut out = stats;
-            out.merge(
-                &self
-                    .engine
-                    .run(spec, &mut self.status, scope.iter().copied()),
-            );
-            out
-        } else {
-            self.engine
-                .run(spec, &mut self.status, scope.iter().copied())
-        }
     }
 
     /// Extends `out` with every status variable the last update *may*
-    /// have changed: the initial scope `H⁰` plus the engines' changed-set
-    /// logs. Always a superset of the truly changed variables (the run
+    /// have changed: the initial scope `H⁰` plus the engine's changed-set
+    /// log. Always a superset of the truly changed variables (the run
     /// pushes dependents beyond `H⁰`, which the logs capture; stale log
     /// entries from earlier runs merely cost a value comparison).
     pub(crate) fn delta_candidates(&self, out: &mut Vec<usize>) {
         out.extend_from_slice(&self.scratch.scope);
         out.extend_from_slice(self.engine.changed_vars());
-        if let Some(p) = &self.par {
-            out.extend_from_slice(p.changed_vars());
-        }
     }
 
     /// Component id (= minimum node id of the component) of every node.
@@ -305,12 +233,12 @@ impl CcState {
         // Weakly deducible: <_C comes from the live timestamps (h never
         // restamps, so these are the previous run's); no snapshots.
         let oracle = CcOracle { g };
-        let stats = bounded_scope_in(&spec, &oracle, &mut self.status, &mut self.scratch);
-        let scope = std::mem::take(&mut self.scratch.scope);
-        let run = self.resume(&spec, &scope);
-        let report = BoundednessReport::new(spec.num_vars(), scope.len(), stats, run);
-        self.scratch.scope = scope;
-        report
+        let stats = bounded_scope(&spec, &oracle, &mut self.status, &mut self.scratch);
+        let scope = &self.scratch.scope;
+        let run = self
+            .engine
+            .run(&spec, &mut self.status, scope.iter().copied());
+        BoundednessReport::new(spec.num_vars(), scope.len(), stats, run)
     }
 
     /// The deducible-but-unbounded strategy of Example 2 (Theorem 1):
@@ -332,21 +260,18 @@ impl CcState {
         );
         self.scratch.touched.sort_unstable();
         self.scratch.touched.dedup();
-        let stats = pe_reset_scope_in(&spec, &mut self.status, &mut self.scratch);
-        let scope = std::mem::take(&mut self.scratch.scope);
-        let run = self.resume(&spec, &scope);
-        let report = BoundednessReport::new(spec.num_vars(), scope.len(), stats, run);
-        self.scratch.scope = scope;
-        report
+        let stats = pe_reset_scope(&spec, &mut self.status, &mut self.scratch);
+        let scope = &self.scratch.scope;
+        let run = self
+            .engine
+            .run(&spec, &mut self.status, scope.iter().copied());
+        BoundednessReport::new(spec.num_vars(), scope.len(), stats, run)
     }
 
     /// Resident bytes of the algorithm's state (Fig. 8). Includes the
     /// timestamp array — the weakly-deducible overhead.
     pub fn space_bytes(&self) -> usize {
-        self.status.space_bytes()
-            + self.engine.space_bytes()
-            + self.par.as_ref().map_or(0, |p| p.space_bytes())
-            + self.scratch.space_bytes()
+        self.status.space_bytes() + self.engine.space_bytes() + self.scratch.space_bytes()
     }
 
     /// Serializes the durable essence (`SaveState`): the label status
@@ -385,8 +310,6 @@ impl CcState {
         Ok(CcState {
             status,
             engine: Engine::new(n),
-            threads: 1,
-            par: None,
             scratch: ScopeScratch::new(),
         })
     }
@@ -414,10 +337,8 @@ impl crate::IncrementalState for CcState {
     }
 
     fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
-        let threads = self.threads;
         let (fresh, stats) = CcState::batch(g);
         *self = fresh;
-        self.threads = threads; // a fallback must not undo the thread config
         stats
     }
 
@@ -433,10 +354,6 @@ impl crate::IncrementalState for CcState {
         self.engine.set_work_budget(budget);
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        CcState::set_threads(self, threads);
-    }
-
     fn space_bytes(&self) -> usize {
         CcState::space_bytes(self)
     }
@@ -446,9 +363,7 @@ impl crate::IncrementalState for CcState {
     }
 
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        let threads = self.threads;
         *self = CcState::restore(g, bytes)?;
-        self.threads = threads;
         Ok(())
     }
 }

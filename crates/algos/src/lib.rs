@@ -92,11 +92,6 @@ pub trait IncrementalState: Send + Sync {
     /// and rely on [`update_guarded`]'s post-run scope check instead.
     fn set_work_budget(&mut self, budget: Option<u64>);
 
-    /// Number of worker shards for subsequent fixpoint runs (1 = the
-    /// sequential engine). Inherently sequential states (DFS, BC) keep
-    /// the default no-op and always run single-threaded.
-    fn set_threads(&mut self, _threads: usize) {}
-
     /// Resident bytes of the algorithm's state (Fig. 8).
     fn space_bytes(&self) -> usize;
 
@@ -110,9 +105,7 @@ pub trait IncrementalState: Send + Sync {
 
     /// Replaces this state's durable essence with a previously saved blob
     /// (`LoadState`), validated against `g`. No fixpoint is run — the
-    /// blob *is* the fixpoint; engines restart with fresh scratch and the
-    /// state runs sequentially until reconfigured (thread configuration is
-    /// preserved where the class supports it).
+    /// blob *is* the fixpoint; engines restart with fresh scratch.
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError>;
 }
 
@@ -140,22 +133,16 @@ pub fn restore_state(
 }
 
 /// Everything a guarded update run is configured by, in one value: the
-/// engine shard count, the degradation policy, and the optional fixpoint
-/// audit. This replaces the former spread of `set_threads` calls plus
-/// per-call `(&FallbackPolicy, Option<&FixpointAudit>)` argument pairs —
-/// one options struct travels from the session builder through every
-/// update.
+/// degradation policy, the optional fixpoint audit and micro-batching.
+/// This replaces the former per-call `(&FallbackPolicy,
+/// Option<&FixpointAudit>)` argument pairs — one options struct travels
+/// from the session builder through every update.
 ///
 /// `Copy`, so callers stash it by value (a [`Session`] does) and the
-/// defaults are the conservative pre-existing ones: leave the state's
-/// thread configuration untouched, default policy, no audit.
+/// defaults are the conservative pre-existing ones: default policy, no
+/// audit, no micro-batching.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecOptions {
-    /// Worker shards for fixpoint resumes; `None` leaves the state's
-    /// current configuration untouched (the historical behavior of
-    /// [`update_guarded`], and what keeps a `batch_par`-built state on
-    /// its shards).
-    pub threads: Option<usize>,
     /// Degradation policy for the guarded run.
     pub policy: FallbackPolicy,
     /// Post-run fixpoint audit; `None` skips auditing.
@@ -172,7 +159,7 @@ pub struct ExecOptions {
 }
 
 /// The hardened update path: one incremental step under an
-/// [`ExecOptions`] bundle (policy + optional audit + thread override).
+/// [`ExecOptions`] bundle (policy + optional audit + micro-batching).
 ///
 /// 1. The policy's [`var_limit`](FallbackPolicy::var_limit) is installed
 ///    as the engine's mid-run work budget; a blown budget aborts the run
@@ -220,9 +207,6 @@ fn run_guarded<S: IncrementalState + ?Sized>(
     applied: &AppliedBatch,
     options: &ExecOptions,
 ) -> BoundednessReport {
-    if let Some(threads) = options.threads {
-        state.set_threads(threads);
-    }
     // Micro-batch canonicalization: collapse within-batch churn to its
     // net effect before the class update sees the ΔG. Only rebuilds the
     // batch when it could actually shrink (≥2 ops).
@@ -291,8 +275,8 @@ fn fallback_event(decision: &FallbackDecision) {
 /// The pre-[`ExecOptions`] guarded entry point, kept for one PR as a thin
 /// shim so existing callers (and the fuzz corpus replay, which must stay
 /// byte-identical) keep compiling unchanged. New code should call
-/// [`update_with`]; this forwards with `threads: None`, which is exactly
-/// the old behavior.
+/// [`update_with`]; this forwards with micro-batching off, which is
+/// exactly the old behavior.
 pub fn update_guarded<S: IncrementalState + ?Sized>(
     state: &mut S,
     g: &DynamicGraph,
@@ -305,7 +289,6 @@ pub fn update_guarded<S: IncrementalState + ?Sized>(
         g,
         applied,
         &ExecOptions {
-            threads: None,
             policy: *policy,
             audit: audit.copied(),
             micro_batch: false,

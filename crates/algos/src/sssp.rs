@@ -19,34 +19,30 @@
 use crate::persist::{self, StateLoadError};
 use incgraph_core::engine::{Engine, RunStats};
 use incgraph_core::metrics::BoundednessReport;
-use incgraph_core::par::ParEngine;
-use incgraph_core::scope::{bounded_scope_in, pe_reset_scope_in, ContributorOracle, ScopeScratch};
+use incgraph_core::scope::{bounded_scope, pe_reset_scope, ContributorOracle, ScopeScratch};
 use incgraph_core::spec::{FixpointSpec, Relax};
 use incgraph_core::status::Status;
 use incgraph_graph::ids::{Dist, INF_DIST};
-use incgraph_graph::{AppliedBatch, CsrSnapshot, DynamicGraph, GraphView, NodeId};
+use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId};
 
-/// The SSSP fixpoint specification over a graph snapshot.
+/// The SSSP fixpoint specification over the live graph.
 ///
-/// Generic over the storage layout: the incremental path runs it on the
-/// live [`DynamicGraph`], the parallel batch path on a flat
-/// [`CsrSnapshot`] (or a [`CsrOverlay`](incgraph_graph::CsrOverlay)).
 /// Exposed so the bench crate can drive the raw engine (`bench_engine`);
 /// normal users go through [`SsspState`].
-pub struct SsspSpec<'g, G: GraphView = DynamicGraph> {
-    g: &'g G,
+pub struct SsspSpec<'g> {
+    g: &'g DynamicGraph,
     source: NodeId,
 }
 
-impl<'g, G: GraphView> SsspSpec<'g, G> {
+impl<'g> SsspSpec<'g> {
     /// Specification for the given graph and source.
-    pub fn new(g: &'g G, source: NodeId) -> Self {
+    pub fn new(g: &'g DynamicGraph, source: NodeId) -> Self {
         assert!((source as usize) < g.node_count(), "source out of range");
         SsspSpec { g, source }
     }
 }
 
-impl<G: GraphView> FixpointSpec for SsspSpec<'_, G> {
+impl FixpointSpec for SsspSpec<'_> {
     type Value = Dist;
 
     fn num_vars(&self) -> usize {
@@ -149,8 +145,6 @@ pub struct SsspState {
     source: NodeId,
     status: Status<Dist>,
     engine: Engine,
-    threads: usize,
-    par: Option<ParEngine>,
     /// Reusable arena for the scope function: epoch-reset bitmaps and
     /// high-water vectors make steady-state updates allocation-free.
     scratch: ScopeScratch,
@@ -175,99 +169,19 @@ impl SsspState {
                 source,
                 status,
                 engine,
-                threads: 1,
-                par: None,
                 scratch: ScopeScratch::new(),
             },
             stats,
         )
-    }
-
-    /// Runs the batch fixpoint with the sharded parallel engine over a
-    /// flat CSR snapshot of `g`, and leaves the state configured to keep
-    /// using `threads` shards for subsequent updates. The fixpoint values
-    /// are identical to [`batch`](Self::batch) (C2 uniqueness).
-    pub fn batch_par(g: &DynamicGraph, source: NodeId, threads: usize) -> (Self, RunStats) {
-        let threads = threads.max(1);
-        let csr = CsrSnapshot::new(g);
-        let spec = SsspSpec::new(&csr, source);
-        let mut status = Status::init(&spec, false);
-        let mut par = ParEngine::new(spec.num_vars(), threads);
-        let scope: Vec<usize> = csr
-            .out_neighbors(source)
-            .iter()
-            .map(|&(v, _)| v as usize)
-            .collect();
-        let stats = par.run(&spec, &mut status, scope);
-        (
-            SsspState {
-                source,
-                status,
-                engine: Engine::new(g.node_count()),
-                threads,
-                par: Some(par),
-                scratch: ScopeScratch::new(),
-            },
-            stats,
-        )
-    }
-
-    /// Sets the number of worker shards for subsequent fixpoint runs
-    /// (1 = the sequential engine).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Resumes the step function over `scope` on the configured engine:
-    /// the sharded parallel engine when `threads > 1` or when a parallel
-    /// engine is already attached (a `batch_par(_, 1)` state keeps its
-    /// inline bucket-queue engine rather than falling back to the binary
-    /// heap), the sequential worklist otherwise. The mid-run work budget
-    /// installed on the sequential engine applies to both.
-    fn resume<G: GraphView>(&mut self, spec: &SsspSpec<'_, G>, scope: &[usize]) -> RunStats {
-        if self.threads > 1 || self.par.is_some() {
-            let fresh = !matches!(&self.par,
-                Some(p) if p.num_vars() == spec.num_vars() && p.nthreads() == self.threads);
-            if fresh {
-                self.par = Some(ParEngine::new(spec.num_vars(), self.threads));
-            }
-            let par = self.par.as_mut().expect("just ensured");
-            par.set_work_budget(self.engine.work_budget());
-            let stats = par.run(spec, &mut self.status, scope.iter().copied());
-            if !stats.poisoned {
-                return stats;
-            }
-            // A shard panicked. The poisoned run wrote nothing back, so
-            // the status is still the feasible pre-run state; degrade to
-            // the sequential engine (permanently — the panic would only
-            // recur) and resume from the same scope. C2 uniqueness gives
-            // the same fixpoint, and `poisoned` survives in the merged
-            // stats as the record of the degradation.
-            self.par = None;
-            self.threads = 1;
-            let mut out = stats;
-            out.merge(
-                &self
-                    .engine
-                    .run(spec, &mut self.status, scope.iter().copied()),
-            );
-            out
-        } else {
-            self.engine
-                .run(spec, &mut self.status, scope.iter().copied())
-        }
     }
 
     /// Extends `out` with every status variable the last update *may*
-    /// have changed: the initial scope `H⁰` plus the engines' changed-set
-    /// logs (always a superset of the truly changed variables; stale log
+    /// have changed: the initial scope `H⁰` plus the engine's changed-set
+    /// log (always a superset of the truly changed variables; stale log
     /// entries merely cost a value comparison).
     pub(crate) fn delta_candidates(&self, out: &mut Vec<usize>) {
         out.extend_from_slice(&self.scratch.scope);
         out.extend_from_slice(self.engine.changed_vars());
-        if let Some(p) = &self.par {
-            out.extend_from_slice(p.changed_vars());
-        }
     }
 
     /// The query source.
@@ -331,14 +245,12 @@ impl SsspState {
         // Deducible: the order <_C is read off the (live) distance
         // values themselves; no snapshot and no timestamps.
         let oracle = SsspOracle { g };
-        let stats = bounded_scope_in(&spec, &oracle, &mut self.status, &mut self.scratch);
-        // Take H⁰ out of the scratch around the resume (the engine needs
-        // &mut self); the scope functions re-clear it on entry.
-        let scope = std::mem::take(&mut self.scratch.scope);
-        let run = self.resume(&spec, &scope);
-        let report = BoundednessReport::new(spec.num_vars(), scope.len(), stats, run);
-        self.scratch.scope = scope;
-        report
+        let stats = bounded_scope(&spec, &oracle, &mut self.status, &mut self.scratch);
+        let scope = &self.scratch.scope;
+        let run = self
+            .engine
+            .run(&spec, &mut self.status, scope.iter().copied());
+        BoundednessReport::new(spec.num_vars(), scope.len(), stats, run)
     }
 
     /// The Theorem 1 construction for SSSP (ablation `abl-scope`): flood
@@ -361,24 +273,18 @@ impl SsspState {
         }
         self.scratch.touched.sort_unstable();
         self.scratch.touched.dedup();
-        let stats = pe_reset_scope_in(&spec, &mut self.status, &mut self.scratch);
+        let stats = pe_reset_scope(&spec, &mut self.status, &mut self.scratch);
         // The reset region must be re-reachable from its boundary: seed
         // the engine with the region plus the sources feeding into it.
-        let scope_len = self.scratch.scope.len();
-        let mut seeds = std::mem::take(&mut self.scratch.scope);
-        seeds.push(self.source as usize);
-        let run = self.resume(&spec, &seeds);
-        seeds.pop();
-        self.scratch.scope = seeds;
-        BoundednessReport::new(spec.num_vars(), scope_len, stats, run)
+        let scope = &self.scratch.scope;
+        let seeds = scope.iter().copied().chain([self.source as usize]);
+        let run = self.engine.run(&spec, &mut self.status, seeds);
+        BoundednessReport::new(spec.num_vars(), scope.len(), stats, run)
     }
 
     /// Resident bytes of the algorithm's state (Fig. 8 space experiment).
     pub fn space_bytes(&self) -> usize {
-        self.status.space_bytes()
-            + self.engine.space_bytes()
-            + self.par.as_ref().map_or(0, |p| p.space_bytes())
-            + self.scratch.space_bytes()
+        self.status.space_bytes() + self.engine.space_bytes() + self.scratch.space_bytes()
     }
 
     /// Serializes the durable essence of the state (`SaveState`): the
@@ -392,7 +298,7 @@ impl SsspState {
 
     /// Rebuilds a state from [`save_state`](Self::save_state) bytes
     /// without running any fixpoint (`LoadState`): the blob *is* the
-    /// fixpoint. The engine starts fresh and sequential.
+    /// fixpoint. The engine starts fresh.
     pub fn restore(g: &DynamicGraph, bytes: &[u8]) -> Result<Self, StateLoadError> {
         let mut r = persist::expect_header("sssp", bytes)?;
         let source = r.u32()?;
@@ -416,8 +322,6 @@ impl SsspState {
             source,
             status,
             engine: Engine::new(g.node_count()),
-            threads: 1,
-            par: None,
             scratch: ScopeScratch::new(),
         })
     }
@@ -454,10 +358,8 @@ impl crate::IncrementalState for SsspState {
     }
 
     fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
-        let threads = self.threads;
         let (fresh, stats) = SsspState::batch(g, self.source);
         *self = fresh;
-        self.threads = threads; // a fallback must not undo the thread config
         stats
     }
 
@@ -473,10 +375,6 @@ impl crate::IncrementalState for SsspState {
         self.engine.set_work_budget(budget);
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        SsspState::set_threads(self, threads);
-    }
-
     fn space_bytes(&self) -> usize {
         SsspState::space_bytes(self)
     }
@@ -486,9 +384,7 @@ impl crate::IncrementalState for SsspState {
     }
 
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        let threads = self.threads;
         *self = SsspState::restore(g, bytes)?;
-        self.threads = threads;
         Ok(())
     }
 }
@@ -668,39 +564,6 @@ pub(crate) mod tests {
         let report = state.update(&g, &applied);
         assert_eq!(report.scope_size, 0);
         assert_eq!(report.run_stats.pops, 0);
-    }
-
-    #[test]
-    fn poisoned_parallel_run_degrades_to_sequential() {
-        // An injected shard panic must poison the parallel run (which
-        // writes nothing back) and fall through to the sequential engine,
-        // landing on the exact batch fixpoint instead of aborting.
-        let mut g = DynamicGraph::new(true, 64);
-        for v in 0..63u32 {
-            g.insert_edge(v, v + 1, 1);
-        }
-        let (mut state, _) = SsspState::batch_par(&g, 0, 4);
-        state
-            .par
-            .as_mut()
-            .expect("batch_par keeps its engine")
-            .inject_panic_on(Some(3));
-        let mut batch = UpdateBatch::new();
-        batch.delete(0, 1);
-        let applied = batch.apply(&mut g);
-        let report = state.update(&g, &applied);
-        assert!(report.run_stats.poisoned, "panic must be recorded");
-        assert!(!report.run_stats.aborted);
-        assert_eq!(state.threads, 1, "degradation is permanent");
-        assert!(state.par.is_none());
-        assert_eq!(state.distances(), dijkstra_reference(&g, 0).as_slice());
-        // Subsequent updates run sequentially and stay correct.
-        let mut batch = UpdateBatch::new();
-        batch.insert(0, 1, 2);
-        let applied = batch.apply(&mut g);
-        let report = state.update(&g, &applied);
-        assert!(!report.run_stats.poisoned);
-        assert_eq!(state.distances(), dijkstra_reference(&g, 0).as_slice());
     }
 
     #[test]

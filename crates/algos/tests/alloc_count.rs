@@ -1,4 +1,6 @@
-//! Proof that the steady-state incremental hot path is allocation-free.
+//! Proof that the steady-state incremental hot path is allocation-free
+//! for every class that resumes the generic engine: SSSP, CC, Reach, Sim
+//! and LCC.
 //!
 //! A counting `#[global_allocator]` wraps `System`; the counter is armed
 //! only around the `state.update(&g, &applied)` call under test, so
@@ -9,6 +11,15 @@
 //! dependency buffers) grows to its working capacity; after that, a ΔG
 //! update must not touch the heap at all.
 //!
+//! The arm flag and the counter are thread-local: cargo runs tests on
+//! parallel threads, and a process-global flag would count one test's
+//! warm-up allocations inside another test's armed window. Thread-local
+//! counting is sound because no update path spawns threads.
+//!
+//! BC is deliberately not pinned: its update copies `O(|V|)` DFS arrays
+//! by design, so it allocates on every update. DFS keeps its own interval
+//! code outside the engine and is not pinned either.
+//!
 //! Gated behind the `alloc-count` feature because the wrapper
 //! intercepts every allocation in the test binary:
 //!
@@ -18,39 +29,47 @@
 #![cfg(feature = "alloc-count")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
-use incgraph_algos::{CcState, SsspState};
-use incgraph_graph::{DynamicGraph, UpdateBatch};
+use incgraph_algos::{CcState, IncrementalState, LccState, ReachState, SimState, SsspState};
+use incgraph_graph::{DynamicGraph, Pattern, UpdateBatch};
 
 /// Counts heap acquisitions (`alloc`, `alloc_zeroed`, `realloc`) while
-/// armed. Frees are not counted: releasing memory is cheap and the
-/// claim under test is "no new heap memory per steady-state update".
+/// armed on the current thread. Frees are not counted: releasing memory
+/// is cheap and the claim under test is "no new heap memory per
+/// steady-state update".
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initializers without destructors: reading them never
+    // allocates, so the allocator itself can consult them.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Records one heap acquisition if the current thread is armed.
+fn note_alloc() {
+    if ARMED.with(Cell::get) {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
+        note_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
+        note_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A shrinking realloc releases memory (the scratch buffers'
         // 4× overshoot policy); only growth acquires heap.
-        if new_size > layout.size() && ARMED.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
+        if new_size > layout.size() {
+            note_alloc();
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -63,21 +82,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Runs `f` with the counter armed and returns how many heap
-/// acquisitions it performed.
+/// Runs `f` with the current thread's counter armed and returns how many
+/// heap acquisitions it performed.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Relaxed);
-    ARMED.store(true, Relaxed);
+    ALLOCS.with(|a| a.set(0));
+    ARMED.with(|a| a.set(true));
     f();
-    ARMED.store(false, Relaxed);
-    ALLOCS.load(Relaxed)
+    ARMED.with(|a| a.set(false));
+    ALLOCS.with(Cell::get)
 }
 
-/// Undirected ring of `n` nodes (unit weights) with `(i, i + n/2)`
-/// chords — enough structure that edge churn moves SSSP distances and
-/// forces CC reconfirmation walks.
+/// Undirected ring of `n` nodes (unit weights, alternating labels 0/1)
+/// with `(i, i + n/2)` chords — enough structure that edge churn moves
+/// SSSP distances, forces CC reconfirmation walks and gives the Sim
+/// pattern below non-trivial matches.
 fn chord_ring(n: usize) -> DynamicGraph {
-    let mut g = DynamicGraph::new(false, n);
+    let labels = (0..n).map(|v| (v % 2) as u32).collect();
+    let mut g = DynamicGraph::with_labels(false, labels);
     for i in 0..n {
         g.insert_edge(i as u32, ((i + 1) % n) as u32, 1);
     }
@@ -106,10 +127,13 @@ const N: usize = 64;
 const WARMUP_ROUNDS: usize = 16;
 const MEASURE_ROUNDS: usize = 8;
 
-#[test]
-fn sssp_steady_state_update_is_allocation_free() {
-    let mut g = chord_ring(N);
-    let (mut state, _) = SsspState::batch(&g, 0);
+/// Warms `state` up on the churn workload, then asserts that every
+/// measured update performs zero heap acquisitions.
+fn assert_steady_updates_allocate_nothing(
+    mut g: DynamicGraph,
+    build: impl FnOnce(&DynamicGraph) -> Box<dyn IncrementalState>,
+) {
+    let mut state = build(&g);
     for round in 0..WARMUP_ROUNDS {
         let applied = churn_round(&mut g, round);
         state.update(&g, &applied);
@@ -120,28 +144,38 @@ fn sssp_steady_state_update_is_allocation_free() {
             state.update(&g, &applied);
         });
         assert_eq!(
-            allocs, 0,
-            "sssp steady-state update allocated {allocs} times in round {round}"
+            allocs,
+            0,
+            "{} steady-state update allocated {allocs} times in round {round}",
+            state.name()
         );
     }
 }
 
 #[test]
+fn sssp_steady_state_update_is_allocation_free() {
+    assert_steady_updates_allocate_nothing(chord_ring(N), |g| Box::new(SsspState::batch(g, 0).0));
+}
+
+#[test]
 fn cc_steady_state_update_is_allocation_free() {
-    let mut g = chord_ring(N);
-    let (mut state, _) = CcState::batch(&g);
-    for round in 0..WARMUP_ROUNDS {
-        let applied = churn_round(&mut g, round);
-        state.update(&g, &applied);
-    }
-    for round in WARMUP_ROUNDS..WARMUP_ROUNDS + MEASURE_ROUNDS {
-        let applied = churn_round(&mut g, round);
-        let allocs = count_allocs(|| {
-            state.update(&g, &applied);
-        });
-        assert_eq!(
-            allocs, 0,
-            "cc steady-state update allocated {allocs} times in round {round}"
-        );
-    }
+    assert_steady_updates_allocate_nothing(chord_ring(N), |g| Box::new(CcState::batch(g).0));
+}
+
+#[test]
+fn reach_steady_state_update_is_allocation_free() {
+    assert_steady_updates_allocate_nothing(chord_ring(N), |g| Box::new(ReachState::batch(g, 0).0));
+}
+
+#[test]
+fn sim_steady_state_update_is_allocation_free() {
+    let pattern = Pattern::new(vec![0, 1], &[(0, 1), (1, 0)]);
+    assert_steady_updates_allocate_nothing(chord_ring(N), |g| {
+        Box::new(SimState::batch(g, pattern).0)
+    });
+}
+
+#[test]
+fn lcc_steady_state_update_is_allocation_free() {
+    assert_steady_updates_allocate_nothing(chord_ring(N), |g| Box::new(LccState::batch(g).0));
 }

@@ -1,20 +1,16 @@
-//! Parallel-engine benchmark suite: per-class sequential vs parallel
-//! timings and the machine-readable `BENCH_<date>.json` report.
+//! Engine benchmark suite: per-class batch and incremental timings and
+//! the machine-readable `BENCH_<date>.json` report.
 //!
-//! The suite runs the five parallel-eligible classes (SSSP, CC, Reach,
-//! Sim, LCC) on their dataset stand-ins and measures four numbers each:
-//! sequential batch, parallel batch (`batch_par`: CSR snapshot + bucket
-//! queue + sharded worklists), sequential incremental, and parallel
-//! incremental (the same state with `set_threads` routing `resume`
-//! through [`incgraph_core::ParEngine`]). With `threads = 1` the parallel
-//! engine runs inline — no spawn, no barriers — so the speedup isolates
-//! the algorithmic wins (O(1) bucket queue instead of a binary heap,
-//! flat CSR scans instead of `Vec<Vec<_>>` rows); higher thread counts
-//! add sharding on top. Shared by `benches/bench_par.rs` and the
-//! `incgraph bench` subcommand.
+//! The suite runs the five engine-backed classes (SSSP, CC, Reach, Sim,
+//! LCC) on their dataset stand-ins and measures two numbers each: the
+//! batch fixpoint from scratch and the incremental resume over a 1% ΔG.
+//! The incremental-over-batch ratio of the fastest samples is what the
+//! bench-regression gate ([`regressions`]) tracks against a committed
+//! baseline. Used by the `incgraph bench` subcommand.
 
 use crate::report::measure_stats;
-use incgraph_algos::{CcState, LccState, ReachState, SimState, SsspState};
+use incgraph_algos::{CcState, IncrementalState, LccState, ReachState, SimState, SsspState};
+use incgraph_graph::{DynamicGraph, UpdateBatch};
 use incgraph_workloads::{random_batch_pct, random_pattern, sample_sources, Dataset};
 use std::fmt::Write as _;
 
@@ -24,7 +20,8 @@ const MAX_WEIGHT: u32 = 100;
 /// |ΔG| as a percentage of |G| for the incremental measurements.
 const DELTA_PCT: f64 = 1.0;
 
-/// Timings for one query class, in nanoseconds per operation.
+/// Timings for one query class, in nanoseconds per operation. The
+/// `seq_` prefixes name the committed baseline's JSON keys.
 #[derive(Clone, Debug)]
 pub struct ClassResult {
     /// Query class tag (`sssp`, `cc`, `reach`, `sim`, `lcc`).
@@ -35,307 +32,99 @@ pub struct ClassResult {
     pub nodes: usize,
     /// Edge count of the benchmarked graph.
     pub edges: usize,
-    /// Sequential engine, batch fixpoint from scratch.
+    /// Batch fixpoint from scratch (mean).
     pub seq_batch_ns: f64,
-    /// Parallel engine, batch fixpoint from scratch.
-    pub par_batch_ns: f64,
-    /// Sequential engine, incremental resume over a 1% ΔG.
+    /// Incremental resume over a 1% ΔG (mean).
     pub seq_inc_ns: f64,
-    /// Parallel engine, incremental resume over the same ΔG.
-    pub par_inc_ns: f64,
-    /// Fastest sequential batch sample (noise floor, see
-    /// [`measure_stats`]).
+    /// Fastest batch sample (noise floor, see [`measure_stats`]).
     pub seq_batch_min_ns: f64,
-    /// Fastest sequential incremental sample — the bench-regression
-    /// gate metric: mins shed scheduler noise that inflates the means
-    /// of µs-scale measurements.
+    /// Fastest incremental sample — the bench-regression gate metric:
+    /// mins shed scheduler noise that inflates the means of µs-scale
+    /// measurements.
     pub seq_inc_min_ns: f64,
-    /// Fastest parallel batch sample.
-    pub par_batch_min_ns: f64,
-    /// Fastest parallel incremental sample.
-    pub par_inc_min_ns: f64,
 }
 
-impl ClassResult {
-    /// Sequential over parallel batch time (>1 means parallel is
-    /// faster). Computed from the fastest samples: scheduler hiccups
-    /// only ever add time, so a ratio of mins estimates the true engine
-    /// ratio while a ratio of means compounds the noise of both sides.
-    pub fn batch_speedup(&self) -> f64 {
-        self.seq_batch_min_ns / self.par_batch_min_ns
-    }
-
-    /// Sequential over parallel incremental time (ratio of mins, as for
-    /// [`batch_speedup`](Self::batch_speedup)).
-    pub fn inc_speedup(&self) -> f64 {
-        self.seq_inc_min_ns / self.par_inc_min_ns
-    }
-}
-
-/// Runs the five-class suite at the given thread count. `scale`
-/// multiplies the stand-in sizes (1.0 = the DESIGN.md base; Sim and LCC
-/// use a reduced slice of it to keep their heavier kernels in budget),
-/// `reps` is the repetition count per measurement (setup excluded).
-pub fn run_suite(threads: usize, scale: f64, reps: usize) -> Vec<ClassResult> {
+/// Measures one class: `batch` builds the fixpoint on a graph, and the
+/// incremental sample applies `delta` to a fresh batch state of `g0`.
+fn bench_class<S: IncrementalState>(
+    class: &'static str,
+    dataset: Dataset,
+    g0: &DynamicGraph,
+    delta: &UpdateBatch,
+    reps: usize,
+    batch: impl Fn(&DynamicGraph) -> S,
+) -> ClassResult {
     let secs = |s: f64| s * 1e9;
-    let mut out = Vec::new();
-
-    // SSSP on the LiveJournal stand-in (directed, weighted).
-    {
-        let g0 = Dataset::LiveJournal.graph(true, scale);
-        let delta = random_batch_pct(&g0, DELTA_PCT, MAX_WEIGHT, 42);
-        let mut g1 = g0.clone();
-        let applied = delta.apply(&mut g1);
-        let src = sample_sources(&g0, 1, 7)[0];
-        let (seq_batch, seq_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(SsspState::batch(&g1, src));
-            },
-        );
-        let (seq_inc, seq_inc_min) = measure_stats(
-            reps,
-            || SsspState::batch(&g0, src).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        let (par_batch, par_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(SsspState::batch_par(&g1, src, threads));
-            },
-        );
-        let (par_inc, par_inc_min) = measure_stats(
-            reps,
-            || SsspState::batch_par(&g0, src, threads).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        out.push(ClassResult {
-            class: "sssp",
-            dataset: Dataset::LiveJournal.tag(),
-            nodes: g1.node_count(),
-            edges: g1.edge_count(),
-            seq_batch_ns: secs(seq_batch),
-            par_batch_ns: secs(par_batch),
-            seq_inc_ns: secs(seq_inc),
-            par_inc_ns: secs(par_inc),
-            seq_batch_min_ns: secs(seq_batch_min),
-            seq_inc_min_ns: secs(seq_inc_min),
-            par_batch_min_ns: secs(par_batch_min),
-            par_inc_min_ns: secs(par_inc_min),
-        });
+    let mut g1 = g0.clone();
+    let applied = delta.apply(&mut g1);
+    let (batch_mean, batch_min) = measure_stats(
+        reps,
+        || (),
+        |_| {
+            std::hint::black_box(batch(&g1));
+        },
+    );
+    let (inc_mean, inc_min) = measure_stats(
+        reps,
+        || batch(g0),
+        |s| {
+            s.update(&g1, &applied);
+        },
+    );
+    ClassResult {
+        class,
+        dataset: dataset.tag(),
+        nodes: g1.node_count(),
+        edges: g1.edge_count(),
+        seq_batch_ns: secs(batch_mean),
+        seq_inc_ns: secs(inc_mean),
+        seq_batch_min_ns: secs(batch_min),
+        seq_inc_min_ns: secs(inc_min),
     }
+}
+
+/// Runs the five-class suite. `scale` multiplies the stand-in sizes
+/// (1.0 = the DESIGN.md base; Sim and LCC use a reduced slice of it to
+/// keep their heavier kernels in budget), `reps` is the repetition count
+/// per measurement (setup excluded).
+pub fn run_suite(scale: f64, reps: usize) -> Vec<ClassResult> {
+    // SSSP on the LiveJournal stand-in (directed, weighted).
+    let lj = Dataset::LiveJournal;
+    let g = lj.graph(true, scale);
+    let delta = random_batch_pct(&g, DELTA_PCT, MAX_WEIGHT, 42);
+    let src = sample_sources(&g, 1, 7)[0];
+    let sssp = bench_class("sssp", lj, &g, &delta, reps, |g| SsspState::batch(g, src).0);
 
     // CC on the LiveJournal stand-in (undirected).
-    {
-        let g0 = Dataset::LiveJournal.graph(false, scale);
-        let delta = random_batch_pct(&g0, DELTA_PCT, 1, 43);
-        let mut g1 = g0.clone();
-        let applied = delta.apply(&mut g1);
-        let (seq_batch, seq_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(CcState::batch(&g1));
-            },
-        );
-        let (seq_inc, seq_inc_min) = measure_stats(
-            reps,
-            || CcState::batch(&g0).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        let (par_batch, par_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(CcState::batch_par(&g1, threads));
-            },
-        );
-        let (par_inc, par_inc_min) = measure_stats(
-            reps,
-            || CcState::batch_par(&g0, threads).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        out.push(ClassResult {
-            class: "cc",
-            dataset: Dataset::LiveJournal.tag(),
-            nodes: g1.node_count(),
-            edges: g1.edge_count(),
-            seq_batch_ns: secs(seq_batch),
-            par_batch_ns: secs(par_batch),
-            seq_inc_ns: secs(seq_inc),
-            par_inc_ns: secs(par_inc),
-            seq_batch_min_ns: secs(seq_batch_min),
-            seq_inc_min_ns: secs(seq_inc_min),
-            par_batch_min_ns: secs(par_batch_min),
-            par_inc_min_ns: secs(par_inc_min),
-        });
-    }
+    let g = lj.graph(false, scale);
+    let delta = random_batch_pct(&g, DELTA_PCT, 1, 43);
+    let cc = bench_class("cc", lj, &g, &delta, reps, |g| CcState::batch(g).0);
 
     // Reach on the DBPedia stand-in (directed).
-    {
-        let g0 = Dataset::DbPedia.graph(true, scale);
-        let delta = random_batch_pct(&g0, DELTA_PCT, 1, 44);
-        let mut g1 = g0.clone();
-        let applied = delta.apply(&mut g1);
-        let src = sample_sources(&g0, 1, 9)[0];
-        let (seq_batch, seq_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(ReachState::batch(&g1, src));
-            },
-        );
-        let (seq_inc, seq_inc_min) = measure_stats(
-            reps,
-            || ReachState::batch(&g0, src).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        let (par_batch, par_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(ReachState::batch_par(&g1, src, threads));
-            },
-        );
-        let (par_inc, par_inc_min) = measure_stats(
-            reps,
-            || ReachState::batch_par(&g0, src, threads).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        out.push(ClassResult {
-            class: "reach",
-            dataset: Dataset::DbPedia.tag(),
-            nodes: g1.node_count(),
-            edges: g1.edge_count(),
-            seq_batch_ns: secs(seq_batch),
-            par_batch_ns: secs(par_batch),
-            seq_inc_ns: secs(seq_inc),
-            par_inc_ns: secs(par_inc),
-            seq_batch_min_ns: secs(seq_batch_min),
-            seq_inc_min_ns: secs(seq_inc_min),
-            par_batch_min_ns: secs(par_batch_min),
-            par_inc_min_ns: secs(par_inc_min),
-        });
-    }
+    let dp = Dataset::DbPedia;
+    let g = dp.graph(true, scale);
+    let delta = random_batch_pct(&g, DELTA_PCT, 1, 44);
+    let src = sample_sources(&g, 1, 9)[0];
+    let reach = bench_class("reach", dp, &g, &delta, reps, |g| {
+        ReachState::batch(g, src).0
+    });
 
     // Sim on the DBPedia stand-in (directed, labeled; half scale — the
     // per-variable work is quadratic in pattern fan-in).
-    {
-        let g0 = Dataset::DbPedia.graph(true, scale * 0.5);
-        let q = random_pattern(&g0, 4, 6, 11);
-        let delta = random_batch_pct(&g0, DELTA_PCT, 1, 45);
-        let mut g1 = g0.clone();
-        let applied = delta.apply(&mut g1);
-        let (seq_batch, seq_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(SimState::batch(&g1, q.clone()));
-            },
-        );
-        let (seq_inc, seq_inc_min) = measure_stats(
-            reps,
-            || SimState::batch(&g0, q.clone()).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        let (par_batch, par_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(SimState::batch_par(&g1, q.clone(), threads));
-            },
-        );
-        let (par_inc, par_inc_min) = measure_stats(
-            reps,
-            || SimState::batch_par(&g0, q.clone(), threads).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        out.push(ClassResult {
-            class: "sim",
-            dataset: Dataset::DbPedia.tag(),
-            nodes: g1.node_count(),
-            edges: g1.edge_count(),
-            seq_batch_ns: secs(seq_batch),
-            par_batch_ns: secs(par_batch),
-            seq_inc_ns: secs(seq_inc),
-            par_inc_ns: secs(par_inc),
-            seq_batch_min_ns: secs(seq_batch_min),
-            seq_inc_min_ns: secs(seq_inc_min),
-            par_batch_min_ns: secs(par_batch_min),
-            par_inc_min_ns: secs(par_inc_min),
-        });
-    }
+    let g = dp.graph(true, scale * 0.5);
+    let q = random_pattern(&g, 4, 6, 11);
+    let delta = random_batch_pct(&g, DELTA_PCT, 1, 45);
+    let sim = bench_class("sim", dp, &g, &delta, reps, |g| {
+        SimState::batch(g, q.clone()).0
+    });
 
     // LCC on the LiveJournal stand-in (undirected; quarter scale — the
     // triangle kernel is O(Σ deg²)).
-    {
-        let g0 = Dataset::LiveJournal.graph(false, scale * 0.25);
-        let delta = random_batch_pct(&g0, DELTA_PCT, 1, 46);
-        let mut g1 = g0.clone();
-        let applied = delta.apply(&mut g1);
-        let (seq_batch, seq_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(LccState::batch(&g1));
-            },
-        );
-        let (seq_inc, seq_inc_min) = measure_stats(
-            reps,
-            || LccState::batch(&g0).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        let (par_batch, par_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(LccState::batch_par(&g1, threads));
-            },
-        );
-        let (par_inc, par_inc_min) = measure_stats(
-            reps,
-            || LccState::batch_par(&g0, threads).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        out.push(ClassResult {
-            class: "lcc",
-            dataset: Dataset::LiveJournal.tag(),
-            nodes: g1.node_count(),
-            edges: g1.edge_count(),
-            seq_batch_ns: secs(seq_batch),
-            par_batch_ns: secs(par_batch),
-            seq_inc_ns: secs(seq_inc),
-            par_inc_ns: secs(par_inc),
-            seq_batch_min_ns: secs(seq_batch_min),
-            seq_inc_min_ns: secs(seq_inc_min),
-            par_batch_min_ns: secs(par_batch_min),
-            par_inc_min_ns: secs(par_inc_min),
-        });
-    }
+    let g = lj.graph(false, scale * 0.25);
+    let delta = random_batch_pct(&g, DELTA_PCT, 1, 46);
+    let lcc = bench_class("lcc", lj, &g, &delta, reps, |g| LccState::batch(g).0);
 
-    out
+    vec![sssp, cc, reach, sim, lcc]
 }
 
 /// Renders the suite as an aligned text table (one row per class).
@@ -343,23 +132,19 @@ pub fn render_table(results: &[ClassResult]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<6} {:<4} {:>7} {:>8} {:>13} {:>13} {:>6} {:>13} {:>13} {:>6}",
-        "class", "data", "|V|", "|E|", "seq_batch", "par_batch", "x", "seq_inc", "par_inc", "x"
+        "{:<6} {:<4} {:>7} {:>8} {:>13} {:>13}",
+        "class", "data", "|V|", "|E|", "batch", "inc"
     );
     for r in results {
         let _ = writeln!(
             out,
-            "{:<6} {:<4} {:>7} {:>8} {:>13} {:>13} {:>5.2}x {:>13} {:>13} {:>5.2}x",
+            "{:<6} {:<4} {:>7} {:>8} {:>13} {:>13}",
             r.class,
             r.dataset,
             r.nodes,
             r.edges,
             fmt_ns(r.seq_batch_ns),
-            fmt_ns(r.par_batch_ns),
-            r.batch_speedup(),
             fmt_ns(r.seq_inc_ns),
-            fmt_ns(r.par_inc_ns),
-            r.inc_speedup(),
         );
     }
     out
@@ -379,7 +164,7 @@ pub(crate) fn fmt_ns(ns: f64) -> String {
 }
 
 /// Serializes the suite as the `BENCH_<date>.json` document.
-pub fn to_json(date: &str, threads: usize, reps: usize, results: &[ClassResult]) -> String {
+pub fn to_json(date: &str, reps: usize, results: &[ClassResult]) -> String {
     let num = |x: f64| {
         if x.is_finite() {
             format!("{x:.1}")
@@ -389,7 +174,6 @@ pub fn to_json(date: &str, threads: usize, reps: usize, results: &[ClassResult])
     };
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"date\": \"{date}\",");
-    let _ = writeln!(json, "  \"threads\": {threads},");
     let _ = writeln!(json, "  \"samples\": {reps},");
     let _ = writeln!(json, "  \"delta_pct\": {DELTA_PCT},");
     json.push_str("  \"classes\": [");
@@ -400,57 +184,17 @@ pub fn to_json(date: &str, threads: usize, reps: usize, results: &[ClassResult])
         let _ = write!(
             json,
             "\n    {{ \"class\": \"{}\", \"dataset\": \"{}\", \"nodes\": {}, \"edges\": {}, \
-             \"seq_batch_ns\": {}, \"par_batch_ns\": {}, \"batch_speedup\": {:.3}, \
-             \"seq_inc_ns\": {}, \"par_inc_ns\": {}, \"inc_speedup\": {:.3}, \
-             \"seq_batch_min_ns\": {}, \"seq_inc_min_ns\": {}, \
-             \"par_batch_min_ns\": {}, \"par_inc_min_ns\": {} }}",
+             \"seq_batch_ns\": {}, \"seq_inc_ns\": {}, \
+             \"seq_batch_min_ns\": {}, \"seq_inc_min_ns\": {} }}",
             r.class,
             r.dataset,
             r.nodes,
             r.edges,
             num(r.seq_batch_ns),
-            num(r.par_batch_ns),
-            r.batch_speedup(),
             num(r.seq_inc_ns),
-            num(r.par_inc_ns),
-            r.inc_speedup(),
             num(r.seq_batch_min_ns),
             num(r.seq_inc_min_ns),
-            num(r.par_batch_min_ns),
-            num(r.par_inc_min_ns),
         );
-    }
-    json.push_str("\n  ]\n}\n");
-    json
-}
-
-/// Serializes a multi-thread-count sweep as one JSON document with a
-/// `"sweep"` array holding one `{ threads, classes }` entry per count.
-/// Single-count runs keep the flat [`to_json`] shape for continuity
-/// with the historical `BENCH_<date>.json` files.
-pub fn to_json_sweep(date: &str, reps: usize, sweep: &[(usize, Vec<ClassResult>)]) -> String {
-    if let [(threads, results)] = sweep {
-        return to_json(date, *threads, reps, results);
-    }
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"date\": \"{date}\",");
-    let _ = writeln!(json, "  \"samples\": {reps},");
-    let _ = writeln!(json, "  \"delta_pct\": {DELTA_PCT},");
-    json.push_str("  \"sweep\": [");
-    for (i, (threads, results)) in sweep.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        // Reuse the flat per-count document, reindented as an element.
-        let inner = to_json(date, *threads, reps, results);
-        json.push('\n');
-        for (j, line) in inner.trim_end().lines().enumerate() {
-            if j > 0 {
-                json.push('\n');
-            }
-            json.push_str("    ");
-            json.push_str(line);
-        }
     }
     json.push_str("\n  ]\n}\n");
     json
@@ -460,12 +204,11 @@ pub fn to_json_sweep(date: &str, reps: usize, sweep: &[(usize, Vec<ClassResult>)
 /// `(class, seq_inc_min_ns, seq_batch_min_ns)`.
 type BaselineRow = (String, f64, f64);
 
-/// Extracts the gate rows from a BENCH json document (flat or sweep
-/// form). Handwritten scan — the files are machine written one
-/// class-object per line, so no JSON dependency is needed. A class
-/// appearing under several thread counts keeps its *first* occurrence
-/// (the sweep writes ascending counts, so that is the single-thread
-/// row — the one the regression gate tracks). Pre-min documents fall
+/// Extracts the gate rows from a BENCH json document. Handwritten scan
+/// — the files are machine written one class-object per line, so no
+/// JSON dependency is needed. A class appearing several times (the
+/// thread-count sweeps of older documents) keeps its *first*
+/// occurrence, which is the single-thread row. Pre-min documents fall
 /// back to the mean fields.
 pub fn parse_baseline(json: &str) -> Vec<BaselineRow> {
     let mut out: Vec<BaselineRow> = Vec::new();
@@ -503,7 +246,7 @@ pub(crate) fn field_num(line: &str, key: &str) -> Option<f64> {
         .ok()
 }
 
-/// Compares fresh single-thread results against a committed baseline
+/// Compares fresh results against a committed baseline
 /// document and returns one message per class whose incremental path
 /// regressed beyond `threshold` (0.25 = 25% slower). Classes absent
 /// from the baseline are ignored (new classes cannot fail the gate).
@@ -580,33 +323,6 @@ mod tests {
         assert_eq!(civil_from_days(20_671), (2026, 8, 6));
     }
 
-    #[test]
-    fn json_report_is_well_formed() {
-        let r = ClassResult {
-            class: "sssp",
-            dataset: "LJ",
-            nodes: 100,
-            edges: 400,
-            seq_batch_ns: 2000.0,
-            par_batch_ns: 1000.0,
-            seq_inc_ns: 300.0,
-            par_inc_ns: 200.0,
-            seq_batch_min_ns: 1900.0,
-            seq_inc_min_ns: 300.0,
-            par_batch_min_ns: 950.0,
-            par_inc_min_ns: 200.0,
-        };
-        let json = to_json("2026-08-06", 4, 5, std::slice::from_ref(&r));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"batch_speedup\": 2.000"));
-        assert!(json.contains("\"inc_speedup\": 1.500"));
-        assert!((r.batch_speedup() - 2.0).abs() < 1e-9);
-        // Balanced braces/brackets as a cheap well-formedness check.
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes, "{json}");
-    }
-
     fn sample_result(class: &'static str, seq_inc_ns: f64) -> ClassResult {
         ClassResult {
             class,
@@ -614,44 +330,44 @@ mod tests {
             nodes: 100,
             edges: 400,
             seq_batch_ns: 2000.0,
-            par_batch_ns: 1000.0,
             seq_inc_ns,
-            par_inc_ns: seq_inc_ns / 2.0,
             seq_batch_min_ns: 2000.0,
             seq_inc_min_ns: seq_inc_ns,
-            par_batch_min_ns: 1000.0,
-            par_inc_min_ns: seq_inc_ns / 2.0,
         }
     }
 
     #[test]
-    fn sweep_json_has_one_entry_per_thread_count_and_round_trips() {
-        let sweep = vec![
-            (1, vec![sample_result("sssp", 300.0)]),
-            (2, vec![sample_result("sssp", 200.0)]),
-            (4, vec![sample_result("sssp", 150.0)]),
-        ];
-        let json = to_json_sweep("2026-08-08", 5, &sweep);
-        assert_eq!(json.matches("\"threads\":").count(), 3, "{json}");
+    fn json_report_is_well_formed_and_round_trips() {
+        let json = to_json("2026-08-06", 5, &[sample_result("sssp", 300.0)]);
+        assert!(json.contains("\"seq_inc_min_ns\": 300.0"), "{json}");
+        // Balanced braces/brackets as a cheap well-formedness check.
         let opens = json.matches(['{', '[']).count();
         let closes = json.matches(['}', ']']).count();
         assert_eq!(opens, closes, "{json}");
-        // First occurrence wins: the single-thread row is the gate's.
         assert_eq!(
             parse_baseline(&json),
             vec![("sssp".to_string(), 300.0, 2000.0)]
         );
-        // A single-count sweep keeps the historical flat shape.
-        let flat = to_json_sweep("2026-08-08", 5, &sweep[..1]);
-        assert!(flat.contains("\"classes\": ["), "{flat}");
-        assert!(!flat.contains("\"sweep\""), "{flat}");
+    }
+
+    #[test]
+    fn committed_sweep_baselines_gate_on_their_first_row() {
+        // Older documents hold one `classes` array per thread count;
+        // the first (single-thread) row of each class is the baseline.
+        let json = "{\n  \"sweep\": [\n\
+            { \"class\": \"sssp\", \"seq_batch_min_ns\": 2000.0, \"seq_inc_min_ns\": 300.0 },\n\
+            { \"class\": \"sssp\", \"seq_batch_min_ns\": 2000.0, \"seq_inc_min_ns\": 200.0 }\n\
+            ]\n}\n";
+        assert_eq!(
+            parse_baseline(json),
+            vec![("sssp".to_string(), 300.0, 2000.0)]
+        );
     }
 
     #[test]
     fn regression_gate_trips_only_past_threshold() {
         let baseline = to_json(
             "2026-08-08",
-            1,
             5,
             &[sample_result("sssp", 1000.0), sample_result("cc", 1000.0)],
         );
@@ -686,10 +402,10 @@ mod tests {
 
     #[test]
     fn suite_smoke_runs_tiny() {
-        let results = run_suite(2, 0.02, 1);
+        let results = run_suite(0.02, 1);
         assert_eq!(results.len(), 5);
         for r in &results {
-            assert!(r.seq_batch_ns > 0.0 && r.par_batch_ns > 0.0, "{r:?}");
+            assert!(r.seq_batch_ns > 0.0 && r.seq_inc_ns > 0.0, "{r:?}");
         }
     }
 }

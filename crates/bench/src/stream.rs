@@ -348,10 +348,6 @@ impl IncrementalState for LatencyProbe {
         self.inner.set_work_budget(budget);
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        self.inner.set_threads(threads);
-    }
-
     fn space_bytes(&self) -> usize {
         self.inner.space_bytes()
     }

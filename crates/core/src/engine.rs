@@ -45,8 +45,8 @@ pub struct RunStats {
     pub pushes: u64,
     /// Worklist entries discarded on pop because a lower-ranked or
     /// re-entrant push superseded them (lazy deletion). Pure scheduling
-    /// overhead: each stale pop is a heap/queue operation that did no
-    /// fixpoint work.
+    /// overhead: each stale pop is a heap operation that did no fixpoint
+    /// work.
     pub stale_pops: u64,
     /// Input-variable reads performed by update functions.
     pub reads: u64,
@@ -57,12 +57,6 @@ pub struct RunStats {
     /// reaching a fixpoint. An aborted run leaves the status mid-fixpoint;
     /// the caller must recompute from scratch (see `FallbackPolicy`).
     pub aborted: bool,
-    /// Whether a parallel shard panicked during the run. A poisoned run
-    /// writes nothing back to the status; the caller degrades to the
-    /// sequential engine (see `crate::par::ParEngine`), whose completed
-    /// stats are merged on top so the flag survives as a record of the
-    /// degradation.
-    pub poisoned: bool,
 }
 
 impl RunStats {
@@ -77,7 +71,6 @@ impl RunStats {
         self.reads += other.reads;
         self.distinct_vars += other.distinct_vars;
         self.aborted |= other.aborted;
-        self.poisoned |= other.poisoned;
     }
 }
 
@@ -148,11 +141,6 @@ impl Engine {
     /// batch recompute.
     pub fn set_work_budget(&mut self, budget: Option<u64>) {
         self.work_budget = budget;
-    }
-
-    /// The configured work budget, if any.
-    pub fn work_budget(&self) -> Option<u64> {
-        self.work_budget
     }
 
     /// Current capacity of the worklist heap (regression hook for the
@@ -276,8 +264,8 @@ impl Engine {
         if self.heap.capacity() > 4 * self.peak_heap.max(1) {
             self.heap.shrink_to(self.peak_heap);
         }
-        incgraph_obs::gauge("engine.seq.heap_peak", self.peak_heap as u64);
-        crate::trace::record("seq", 1, scope_len, &stats);
+        incgraph_obs::gauge("engine.heap_peak", self.peak_heap as u64);
+        crate::trace::record(scope_len, &stats);
         stats
     }
 
@@ -382,9 +370,12 @@ mod tests {
 
     impl MiniCc {
         fn new() -> Self {
-            let edges = [(0, 1), (1, 2), (2, 3), (4, 5)];
-            let mut adj = vec![Vec::new(); 6];
-            for &(a, b) in &edges {
+            Self::from_edges(6, &[(0, 1), (1, 2), (2, 3), (4, 5)])
+        }
+
+        fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
+            let mut adj = vec![Vec::new(); n];
+            for &(a, b) in edges {
                 adj[a].push(b);
                 adj[b].push(a);
             }
@@ -449,6 +440,27 @@ mod tests {
         let stats = run_fixpoint(&spec, &mut status, std::iter::empty());
         assert_eq!(stats.pops, 0);
         assert_eq!(status.values(), &[0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn stamps_follow_the_causal_order() {
+        // On a path seeded everywhere, every node's min-label change is
+        // justified by its predecessor, so stamps must strictly increase
+        // along the chain. The weakly deducible classes (CC, Sim, Reach)
+        // read `<_C` off exactly these stamps.
+        let n = 40;
+        let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let spec = MiniCc::from_edges(n, &edges);
+        let mut status = Status::init(&spec, true);
+        Engine::new(n).run(&spec, &mut status, 0..n);
+        for i in 1..n {
+            assert_eq!(status.get(i), 0);
+            assert!(
+                status.stamp(i) > status.stamp(i - 1),
+                "stamp({i}) must follow stamp({})",
+                i - 1
+            );
+        }
     }
 
     #[test]

@@ -48,31 +48,24 @@
 //! consumed by contributor oracles of CC and Sim.
 
 pub mod audit;
-pub mod bucket;
 pub mod coalesce;
 pub mod engine;
 pub mod epoch;
 pub mod fallback;
 pub mod lattice;
 pub mod metrics;
-pub mod par;
 pub mod scope;
 pub mod spec;
 pub mod status;
 pub mod trace;
 
 pub use audit::{AuditMode, AuditReport, AuditViolation, FixpointAudit};
-pub use bucket::BucketQueue;
 pub use coalesce::{coalesce_batches, Coalescer};
 pub use engine::{run_fixpoint, RunStats};
 pub use epoch::VisitEpoch;
 pub use fallback::{AuditAction, FallbackDecision, FallbackPolicy, FallbackReason};
 pub use metrics::{BoundednessReport, SpaceUsage};
-pub use par::{PackedValue, ParEngine};
-pub use scope::{
-    bounded_scope, bounded_scope_in, pe_reset_scope, pe_reset_scope_in, ContributorOracle,
-    ScopeResult, ScopeScratch, ScopeStats,
-};
+pub use scope::{bounded_scope, pe_reset_scope, ContributorOracle, ScopeScratch, ScopeStats};
 pub use spec::FixpointSpec;
 pub use status::Status;
 pub use trace::{CaseTrace, TraceEvent};

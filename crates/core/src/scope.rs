@@ -13,14 +13,11 @@
 //! `D⁰` and return the initial scope `H⁰` from which the ordinary engine
 //! ([`crate::engine::Engine::run`]) is resumed.
 //!
-//! Each construction comes in two forms: the allocating convenience form
-//! (`bounded_scope` / `pe_reset_scope`, which build their working sets per
-//! call) and the zero-allocation form (`bounded_scope_in` /
-//! `pe_reset_scope_in`) that runs entirely inside a caller-owned
-//! [`ScopeScratch`]. Incremental states keep one scratch per instance so a
-//! steady-state ΔG update performs no heap allocation in `h` at all — the
-//! epoch bitmaps reset in `O(1)` and the queue/scope buffers retain their
-//! high-water capacity the same way [`crate::engine::Engine`] does.
+//! Both run entirely inside a caller-owned [`ScopeScratch`]. Incremental
+//! states keep one scratch per instance so a steady-state ΔG update
+//! performs no heap allocation in `h` at all — the epoch bitmaps reset in
+//! `O(1)` and the queue/scope buffers retain their high-water capacity
+//! the same way [`crate::engine::Engine`] does.
 
 use crate::epoch::VisitEpoch;
 use crate::spec::FixpointSpec;
@@ -79,24 +76,13 @@ pub struct ScopeStats {
     pub pushes: u64,
 }
 
-/// Result of an initial scope function: the scope `H⁰` plus counters. The
-/// feasible status `D⁰` is produced by mutating the input status in place.
-#[derive(Clone, Debug, Default)]
-pub struct ScopeResult {
-    /// The initial scope `H⁰_{A_Δ}`, deduplicated and sorted.
-    pub scope: Vec<usize>,
-    /// Work performed by `h` (the paper measures `h`'s share of the total
-    /// incremental cost in Exp-2(2d)).
-    pub stats: ScopeStats,
-}
-
 /// Reusable working memory for the scope functions: the flat-state arena
 /// the zero-allocation ΔG path runs in.
 ///
 /// One scratch per incremental state instance. The caller fills
 /// [`touched`](Self::touched) (the variables whose input sets evolved
-/// under ΔG — line 1 of Fig. 4), invokes [`bounded_scope_in`] or
-/// [`pe_reset_scope_in`], and reads the resulting `H⁰` from
+/// under ΔG — line 1 of Fig. 4), invokes [`bounded_scope`] or
+/// [`pe_reset_scope`], and reads the resulting `H⁰` from
 /// [`scope`](Self::scope). Between updates every structure keeps its
 /// backing storage: the epoch bitmaps clear with one counter bump, the
 /// vectors keep their high-water capacity, and the contributor queue
@@ -108,9 +94,8 @@ pub struct ScopeScratch {
     /// functions only read it — callers clear and refill it before each
     /// run (and may inspect it afterwards).
     pub touched: Vec<usize>,
-    /// Output `H⁰`, sorted and deduplicated after a run. Callers may
-    /// `std::mem::take` it around the engine resume and put it back — the
-    /// scope functions re-clear it on entry.
+    /// Output `H⁰`, sorted and deduplicated after a run; the scope
+    /// functions re-clear it on entry.
     pub scope: Vec<usize>,
     queue: BinaryHeap<Reverse<(u64, usize)>>,
     in_scope: VisitEpoch,
@@ -178,8 +163,11 @@ impl ScopeScratch {
 ///
 /// `spec` must be specified over the **updated** graph `G ⊕ ΔG`; `status`
 /// holds the old fixpoint `D^r_A` and is adjusted in place to the feasible
-/// status `D⁰`; `touched` are the variables whose update-function input
-/// sets evolved under `ΔG` (line 1 of Fig. 4).
+/// status `D⁰`; `scratch.touched` holds the variables whose
+/// update-function input sets evolved under `ΔG` (line 1 of Fig. 4), and
+/// the resulting `H⁰` lands in `scratch.scope` (sorted, deduplicated).
+/// Performs no heap allocation once the scratch has reached its
+/// steady-state capacity.
 ///
 /// Processing order follows `<_C`: each popped variable `x` is re-evaluated
 /// against the *feasible view* in which inputs not yet determined
@@ -206,25 +194,6 @@ impl ScopeScratch {
 /// step, of the underlying contracting run, and the reset-to-`⊥` above
 /// guarantees any value the engine keeps is restamped when re-derived.
 pub fn bounded_scope<S: FixpointSpec, O: ContributorOracle<S::Value>>(
-    spec: &S,
-    oracle: &O,
-    status: &mut Status<S::Value>,
-    touched: impl IntoIterator<Item = usize>,
-) -> ScopeResult {
-    let mut scratch = ScopeScratch::new();
-    scratch.touched.extend(touched);
-    let stats = bounded_scope_in(spec, oracle, status, &mut scratch);
-    ScopeResult {
-        scope: std::mem::take(&mut scratch.scope),
-        stats,
-    }
-}
-
-/// [`bounded_scope`] running entirely inside a caller-owned
-/// [`ScopeScratch`]: the caller fills `scratch.touched`, the resulting
-/// `H⁰` lands in `scratch.scope` (sorted, deduplicated). Performs no heap
-/// allocation once the scratch has reached its steady-state capacity.
-pub fn bounded_scope_in<S: FixpointSpec, O: ContributorOracle<S::Value>>(
     spec: &S,
     oracle: &O,
     status: &mut Status<S::Value>,
@@ -330,23 +299,10 @@ fn record_scope_obs(stats: &ScopeStats, scope_len: usize) {
 /// trivially feasible and the scope valid — but the flood is not bounded
 /// by `AFF` (deleting one edge of a connected graph floods the whole
 /// component under CC). Used as the `abl-scope` ablation baseline.
+///
+/// Runs inside a caller-owned [`ScopeScratch`], with the same contract
+/// as [`bounded_scope`].
 pub fn pe_reset_scope<S: FixpointSpec>(
-    spec: &S,
-    status: &mut Status<S::Value>,
-    touched: impl IntoIterator<Item = usize>,
-) -> ScopeResult {
-    let mut scratch = ScopeScratch::new();
-    scratch.touched.extend(touched);
-    let stats = pe_reset_scope_in(spec, status, &mut scratch);
-    ScopeResult {
-        scope: std::mem::take(&mut scratch.scope),
-        stats,
-    }
-}
-
-/// [`pe_reset_scope`] running inside a caller-owned [`ScopeScratch`]:
-/// same contract as [`bounded_scope_in`].
-pub fn pe_reset_scope_in<S: FixpointSpec>(
     spec: &S,
     status: &mut Status<S::Value>,
     scratch: &mut ScopeScratch,
@@ -463,6 +419,13 @@ mod tests {
         }
     }
 
+    /// A scratch whose `touched` input is `touched`.
+    fn scratch_with(touched: &[usize]) -> ScopeScratch {
+        let mut scratch = ScopeScratch::new();
+        scratch.touched.extend_from_slice(touched);
+        scratch
+    }
+
     #[test]
     fn bounded_scope_handles_bridge_deletion() {
         // Path 0-1-2-3: all labels converge to 0. Delete (1,2): labels of
@@ -477,19 +440,19 @@ mod tests {
         // expansion uses the old adjacency (the deleted edge carried the
         // old change propagation); `old` stays alive, so the oracle
         // borrows its adjacency directly instead of cloning it.
-        let res = bounded_scope(
+        let mut scratch = scratch_with(&[1, 2]);
+        bounded_scope(
             &new,
             &StampOracle { adj: &old.adj },
             &mut status,
-            [1usize, 2],
+            &mut scratch,
         );
         // h must have raised 2 (and possibly 3) back toward their ids.
-        assert!(res.scope.contains(&2));
-        let stats = run_fixpoint(&new, &mut status, res.scope.iter().copied());
+        assert!(scratch.scope.contains(&2));
+        run_fixpoint(&new, &mut status, scratch.scope.iter().copied());
         assert_eq!(status.values(), &[0, 0, 2, 2]);
         // Boundedness: component {0,1} minus the touched var 1 stays out.
-        assert!(!res.scope.contains(&0));
-        let _ = stats;
+        assert!(!scratch.scope.contains(&0));
     }
 
     #[test]
@@ -500,15 +463,16 @@ mod tests {
         let mut status = Status::init(&old, true);
         run_fixpoint(&old, &mut status, 0..3);
         let new = Cc::from_edges(3, &[(0, 1), (1, 2)]);
-        let res = bounded_scope(
+        let mut scratch = scratch_with(&[0, 2]);
+        bounded_scope(
             &new,
             &StampOracle { adj: &old.adj },
             &mut status,
-            [0usize, 2],
+            &mut scratch,
         );
-        run_fixpoint(&new, &mut status, res.scope.iter().copied());
+        run_fixpoint(&new, &mut status, scratch.scope.iter().copied());
         assert_eq!(status.values(), &[0, 0, 0]);
-        assert!(res.scope.len() <= 2, "only the touched endpoints");
+        assert!(scratch.scope.len() <= 2, "only the touched endpoints");
     }
 
     #[test]
@@ -520,14 +484,15 @@ mod tests {
         run_fixpoint(&old, &mut status, 0..4);
         assert_eq!(status.values(), &[0, 0, 2, 2]);
         let new = Cc::from_edges(4, &[(0, 1), (2, 3), (1, 2)]);
-        let res = bounded_scope(
+        let mut scratch = scratch_with(&[1, 2]);
+        let stats = bounded_scope(
             &new,
             &StampOracle { adj: &old.adj },
             &mut status,
-            [1usize, 2],
+            &mut scratch,
         );
-        assert_eq!(res.stats.raised, 0, "insertions need no raises");
-        run_fixpoint(&new, &mut status, res.scope.iter().copied());
+        assert_eq!(stats.raised, 0, "insertions need no raises");
+        run_fixpoint(&new, &mut status, scratch.scope.iter().copied());
         assert_eq!(status.values(), &[0, 0, 0, 0]);
     }
 
@@ -537,12 +502,13 @@ mod tests {
         let mut status = Status::init(&old, false);
         run_fixpoint(&old, &mut status, 0..5);
         let new = Cc::from_edges(5, &[(0, 1), (2, 3)]);
-        let res = pe_reset_scope(&new, &mut status, [1usize, 2]);
+        let mut scratch = scratch_with(&[1, 2]);
+        pe_reset_scope(&new, &mut status, &mut scratch);
         // The flood covers the whole old component reachable in the new
         // graph from the endpoints — including 0 (the Example 2 cost).
-        assert!(res.scope.contains(&0));
-        assert!(!res.scope.contains(&4), "isolated node untouched");
-        run_fixpoint(&new, &mut status, res.scope.iter().copied());
+        assert!(scratch.scope.contains(&0));
+        assert!(!scratch.scope.contains(&4), "isolated node untouched");
+        run_fixpoint(&new, &mut status, scratch.scope.iter().copied());
         assert_eq!(status.values(), &[0, 0, 2, 2, 4]);
     }
 
@@ -551,61 +517,33 @@ mod tests {
         let g = Cc::from_edges(3, &[(0, 1)]);
         let mut status = Status::init(&g, false);
         run_fixpoint(&g, &mut status, 0..3);
-        let res = pe_reset_scope(&g, &mut status, [1usize, 1, 0]);
-        assert_eq!(res.scope, vec![0, 1]);
+        let mut scratch = scratch_with(&[1, 1, 0]);
+        pe_reset_scope(&g, &mut status, &mut scratch);
+        assert_eq!(scratch.scope, vec![0, 1]);
     }
 
     #[test]
-    fn scratch_reuse_is_identical_to_fresh_calls() {
+    fn scratch_reuse_matches_a_fresh_scratch() {
         // Repeated runs through one scratch must produce the same scope
-        // and raises as independent allocating calls, with no state
-        // bleeding between runs.
+        // and raises as a fresh scratch each time, with no state bleeding
+        // between runs.
         let old = Cc::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let mut s1 = Status::init(&old, true);
         run_fixpoint(&old, &mut s1, 0..4);
         let mut s2 = s1.clone();
 
         let new = Cc::from_edges(4, &[(0, 1), (2, 3)]);
-        let mut scratch = ScopeScratch::new();
+        let oracle = StampOracle { adj: &old.adj };
+        let mut reused = ScopeScratch::new();
         for round in 0..3 {
-            let fresh = bounded_scope(
-                &new,
-                &StampOracle { adj: &old.adj },
-                &mut s1.clone(),
-                [1usize, 2],
-            );
-            scratch.touched.clear();
-            scratch.touched.extend([1usize, 2]);
-            let stats =
-                bounded_scope_in(&new, &StampOracle { adj: &old.adj }, &mut s2, &mut scratch);
-            if round == 0 {
-                // First round actually mutates s1 to compare statuses.
-                let res1 =
-                    bounded_scope(&new, &StampOracle { adj: &old.adj }, &mut s1, [1usize, 2]);
-                assert_eq!(res1.scope, scratch.scope);
-                assert_eq!(res1.stats, stats);
-                assert_eq!(s1.values(), s2.values());
-            } else {
-                // Later rounds: raises already applied, scope must be
-                // stable (idempotent h on a feasible status).
-                assert_eq!(fresh.scope.len(), scratch.scope.len());
-            }
+            let mut fresh = scratch_with(&[1, 2]);
+            let fresh_stats = bounded_scope(&new, &oracle, &mut s1, &mut fresh);
+            reused.touched.clear();
+            reused.touched.extend([1usize, 2]);
+            let stats = bounded_scope(&new, &oracle, &mut s2, &mut reused);
+            assert_eq!(fresh.scope, reused.scope, "round {round}");
+            assert_eq!(fresh_stats, stats, "round {round}");
+            assert_eq!(s1.values(), s2.values(), "round {round}");
         }
-    }
-
-    #[test]
-    fn pe_reset_scratch_matches_allocating_form() {
-        let old = Cc::from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
-        let mut s1 = Status::init(&old, false);
-        run_fixpoint(&old, &mut s1, 0..5);
-        let mut s2 = s1.clone();
-        let new = Cc::from_edges(5, &[(0, 1), (2, 3)]);
-        let res = pe_reset_scope(&new, &mut s1, [1usize, 2]);
-        let mut scratch = ScopeScratch::new();
-        scratch.touched.extend([1usize, 2]);
-        let stats = pe_reset_scope_in(&new, &mut s2, &mut scratch);
-        assert_eq!(res.scope, scratch.scope);
-        assert_eq!(res.stats, stats);
-        assert_eq!(s1.values(), s2.values());
     }
 }

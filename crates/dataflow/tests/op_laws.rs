@@ -56,7 +56,7 @@ fn random_batch(rng: &mut SplitMix64) -> UpdateBatch {
 fn ctx() -> PlanContext {
     PlanContext {
         pattern: Some(Pattern::new(vec![0, 1], &[(0, 1)])),
-        threads: 0,
+        ..PlanContext::default()
     }
 }
 

@@ -3,8 +3,8 @@
 //! A [`Case`] is everything needed to reproduce one differential-testing
 //! run bit-for-bit: the base graph (explicit edges and labels, so the
 //! shrinker can drop them one by one), the update schedule (a sequence of
-//! `ΔG` batches), the query classes under test with their parameters, and
-//! the thread counts to cross-check. Cases serialize to a line-oriented
+//! `ΔG` batches), and the query classes under test with their
+//! parameters. Cases serialize to a line-oriented
 //! plain-text format (no external deps, diff-friendly in `tests/corpus/`)
 //! and parse back losslessly:
 //!
@@ -20,7 +20,6 @@
 //! pattern-edge 0 1
 //! classes sssp,cc,sim,reach,lcc,dfs,bc
 //! plan d = sssp(source=3); n = count(d)   # optional dataflow-oracle plan
-//! threads 1,2,4
 //! edge 0 1 5                   # base graph: src dst weight
 //! batch                        # schedule: batches of +/- ops
 //! + 0 2 3
@@ -72,8 +71,6 @@ pub struct Case {
     pub source: NodeId,
     /// Simulation pattern, required iff `classes` contains `sim`.
     pub pattern: Option<Pattern>,
-    /// Thread counts to cross-check (1 = the sequential baseline).
-    pub threads: Vec<usize>,
     /// Fault to inject on replay. `Some` marks an intentional-fault
     /// reproducer (expected to *fail*, proving the oracles still have
     /// teeth); `None` marks a real-divergence regression case (expected
@@ -156,8 +153,6 @@ impl Case {
         if let Some(plan) = &self.plan {
             let _ = writeln!(out, "plan {plan}");
         }
-        let threads: Vec<String> = self.threads.iter().map(|t| t.to_string()).collect();
-        let _ = writeln!(out, "threads {}", threads.join(","));
         for &(u, v, w) in &self.edges {
             let _ = writeln!(out, "edge {u} {v} {w}");
         }
@@ -191,7 +186,6 @@ impl Case {
         let mut source: NodeId = 0;
         let mut pattern_labels: Option<Vec<Label>> = None;
         let mut pattern_edges: Vec<(usize, usize)> = Vec::new();
-        let mut threads: Vec<usize> = Vec::new();
         let mut fault: Option<Fault> = None;
         let mut crash_at: Option<CrashPoint> = None;
         let mut coalesce = false;
@@ -284,17 +278,6 @@ impl Case {
                         .map_err(|e| err(lineno, format!("bad plan: {e}")))?;
                     plan = Some(text.to_string());
                 }
-                "threads" => {
-                    let list = it
-                        .next()
-                        .ok_or_else(|| err(lineno, "expected thread list".into()))?;
-                    for t in list.split(',') {
-                        threads.push(
-                            t.parse()
-                                .map_err(|_| err(lineno, format!("bad thread count `{t}`")))?,
-                        );
-                    }
-                }
                 "edge" => {
                     let u = num("edge <u> <v> <w>")? as NodeId;
                     let v = num("edge <u> <v> <w>")? as NodeId;
@@ -338,9 +321,6 @@ impl Case {
         if classes.is_empty() {
             return Err(err(1, "missing `classes`".into()));
         }
-        if threads.is_empty() {
-            threads.push(1);
-        }
         let pattern = pattern_labels.map(|pl| Pattern::new(pl, &pattern_edges));
         if classes.contains(&ClassId::Sim) && pattern.is_none() {
             return Err(err(1, "class `sim` needs pattern-labels".into()));
@@ -382,7 +362,6 @@ impl Case {
             classes,
             source,
             pattern,
-            threads,
             fault,
             crash_at,
             coalesce,
@@ -410,7 +389,6 @@ mod tests {
             classes: vec![ClassId::Sssp, ClassId::Sim, ClassId::Dfs],
             source: 1,
             pattern: Some(Pattern::new(vec![0, 1], &[(0, 1)])),
-            threads: vec![1, 2, 4],
             fault: Some(Fault::SkipOp),
             crash_at: Some(CrashPoint::WalPostFsync),
             coalesce: true,
@@ -432,7 +410,6 @@ mod tests {
         assert_eq!(parsed.schedule, case.schedule);
         assert_eq!(parsed.classes, case.classes);
         assert_eq!(parsed.source, case.source);
-        assert_eq!(parsed.threads, case.threads);
         assert_eq!(parsed.fault, case.fault);
         assert_eq!(parsed.crash_at, case.crash_at);
         assert_eq!(parsed.coalesce, case.coalesce);
@@ -473,6 +450,8 @@ mod tests {
         let dir_plan =
             "incgraph-case v1\ndirected 1\nnodes 2\nclasses cc\nplan a = lcc; n = count(a)\nend\n";
         assert!(Case::parse(dir_plan).is_err(), "lcc plan needs undirected");
+        let threads = "incgraph-case v1\nnodes 2\nclasses cc\nthreads 1,2\nend\n";
+        assert!(Case::parse(threads).is_err(), "`threads` is not a key");
     }
 
     #[test]
@@ -482,7 +461,6 @@ mod tests {
         assert_eq!(case.nodes, 3);
         assert_eq!(case.edges.len(), 1);
         assert_eq!(case.schedule_len(), 1);
-        assert_eq!(case.threads, vec![1], "threads default to sequential");
     }
 
     #[test]

@@ -352,7 +352,6 @@ mod tests {
             classes: ClassId::ALL.to_vec(),
             source: 0,
             pattern: Some(Pattern::new(vec![0, 0], &[(0, 1)])),
-            threads: vec![1],
             fault: None,
             crash_at: None,
             coalesce: false,

@@ -159,7 +159,6 @@ pub fn gen_case(seed: u64, cfg: &GenConfig) -> Case {
             .collect(),
         source,
         pattern,
-        threads: vec![1, 2, 4],
         fault: None,
         crash_at: None,
         coalesce: false,

@@ -1,16 +1,13 @@
 //! The differential oracles: drive a [`Case`](crate::case::Case) through
-//! every query class under test and cross-check three properties after
-//! every `ΔG` batch.
+//! every query class under test and cross-check two properties after
+//! every `ΔG` batch (plus the coalesce and dataflow oracles when the case
+//! asks for them).
 //!
 //! 1. **Incremental vs. batch recompute** (Theorems 1 & 3): the
 //!    incremental state resumed from `h(D^r, ΔG)` must hold exactly the
 //!    fixpoint a from-scratch batch run computes on `G ⊕ ΔG`. The batch
 //!    run is the ground truth — it never touches the incremental path.
-//! 2. **Sequential vs. parallel** (C2 schedule independence): states
-//!    resuming through the sharded [`ParEngine`](incgraph_core::ParEngine)
-//!    at every thread count in the case must match the sequential state,
-//!    both at the initial batch fixpoint and after every update.
-//! 3. **Boundedness accounting** (`|H⁰| ≤ |AFF|`-style invariants): the
+//! 2. **Boundedness accounting** (`|H⁰| ≤ |AFF|`-style invariants): the
 //!    [`BoundednessReport`] of each incremental run must be internally
 //!    consistent, and every variable the recompute diff proves *changed*
 //!    must have been inspected by the incremental run
@@ -40,11 +37,6 @@ pub use incgraph_algos::QueryClass as ClassId;
 pub enum OracleKind {
     /// The incremental state diverged from the batch recompute.
     IncVsBatch,
-    /// A parallel resume diverged from the sequential one.
-    SeqVsPar {
-        /// The offending thread count.
-        threads: usize,
-    },
     /// The boundedness accounting is inconsistent.
     Boundedness,
     /// A session fed coalesced micro-batches diverged from the batch
@@ -63,7 +55,6 @@ impl OracleKind {
     pub fn name(&self) -> &'static str {
         match self {
             OracleKind::IncVsBatch => "inc-vs-batch",
-            OracleKind::SeqVsPar { .. } => "seq-vs-par",
             OracleKind::Boundedness => "boundedness",
             OracleKind::Coalesce { .. } => "coalesce",
             OracleKind::Dataflow => "dataflow",
@@ -180,19 +171,16 @@ impl Fault {
 }
 
 /// Fresh batch fixpoint for `class` on `g` through the one construction
-/// path ([`Session::builder`]); `threads > 1` on a par-capable class
-/// builds through the sharded parallel engine and keeps resuming on that
-/// many shards. The oracle drives sessions with the *unguarded*
-/// [`IncrementalState::update`] — degradation would mask exactly the
-/// divergences it exists to find.
+/// path ([`Session::builder`]). The oracle drives sessions with the
+/// *unguarded* [`IncrementalState::update`] — degradation would mask
+/// exactly the divergences it exists to find.
 fn build_session(
     class: ClassId,
     g: &DynamicGraph,
     source: NodeId,
     pattern: Option<&Pattern>,
-    threads: usize,
 ) -> Session {
-    let mut builder = Session::builder(class).threads(threads);
+    let mut builder = Session::builder(class);
     if class.source_rooted() {
         builder = builder.source(source);
     }
@@ -202,13 +190,11 @@ fn build_session(
     builder.build(g).expect("session build")
 }
 
-/// One class's states under test: the sequential baseline plus one state
-/// per parallel thread count.
+/// One class's states under test.
 struct ClassUnderTest {
     class: ClassId,
-    seq: Session,
-    /// `(threads, state)` pairs for the seq-vs-par oracle.
-    par: Vec<(usize, Session)>,
+    /// The incremental state checked against the batch ground truth.
+    inc: Session,
     /// The coalesce-oracle session (`case.coalesce` only): sees the
     /// pending ΔG batches merged into one net batch at every flush.
     coal: Option<Session>,
@@ -229,7 +215,7 @@ fn first_diff(a: &[u64], b: &[u64]) -> Option<(usize, u64, u64)> {
         .map(|(i, (&x, &y))| (i, x, y))
 }
 
-/// Number of differing positions (the `|AFF|` diff of oracle 3).
+/// Number of differing positions (the `|AFF|` diff of oracle 2).
 fn diff_count(a: &[u64], b: &[u64]) -> usize {
     a.iter().zip(b).filter(|(x, y)| x != y).count()
 }
@@ -297,41 +283,16 @@ pub fn run_case(case: &Case, fault: Option<Fault>) -> RunOutcome {
     let pattern = case.pattern.as_ref();
     let mut checks = 0u64;
 
-    // Initial batch fixpoints: sequential baseline + parallel builds.
     let mut classes: Vec<ClassUnderTest> = Vec::with_capacity(case.classes.len());
     for &class in &case.classes {
-        let seq = build_session(class, &g, source, pattern, 1);
-        let prev_full = seq.digest(&g);
-        let mut par = Vec::new();
-        if class.par_capable() {
-            for &t in &case.threads {
-                if t <= 1 {
-                    continue;
-                }
-                let state = build_session(class, &g, source, pattern, t);
-                checks += 1;
-                let d = state.digest(&g);
-                if let Some((i, a, b)) = first_diff(&prev_full, &d) {
-                    return RunOutcome {
-                        checks,
-                        failure: Some(OracleFailure {
-                            class,
-                            round: None,
-                            kind: OracleKind::SeqVsPar { threads: t },
-                            detail: format!("var {i}: seq={a} par={b}"),
-                        }),
-                    };
-                }
-                par.push((t, state));
-            }
-        }
+        let inc = build_session(class, &g, source, pattern);
+        let prev_full = inc.digest(&g);
         let coal = case
             .coalesce
-            .then(|| build_session(class, &g, source, pattern, 1));
+            .then(|| build_session(class, &g, source, pattern));
         classes.push(ClassUnderTest {
             class,
-            seq,
-            par,
+            inc,
             coal,
             prev_full,
         });
@@ -344,7 +305,7 @@ pub fn run_case(case: &Case, fault: Option<Fault>) -> RunOutcome {
     // intermediate graph (the operator-level analogue of inc-vs-batch).
     let df_ctx = PlanContext {
         pattern: case.pattern.clone(),
-        threads: 0,
+        ..PlanContext::default()
     };
     let mut dataflow = case.plan.as_deref().map(|text| {
         let plan = Plan::parse(text).expect("case plan parses (validated by Case::parse)");
@@ -396,15 +357,15 @@ pub fn run_case(case: &Case, fault: Option<Fault>) -> RunOutcome {
             case.coalesce && (pending.len() >= COALESCE_EVERY || round + 1 == case.schedule.len());
         for cut in &mut classes {
             let class = cut.class;
-            // Incremental step on the sequential baseline.
-            let report = cut.seq.update(&g, &presented);
+            // Incremental step.
+            let report = cut.inc.update(&g, &presented);
 
             // Ground truth: a from-scratch batch run on the updated graph.
-            let fresh = build_session(class, &g, source, pattern, 1);
+            let fresh = build_session(class, &g, source, pattern);
             let full = fresh.digest(&g);
 
             checks += 1;
-            let inc = cut.seq.digest(&g);
+            let inc = cut.inc.digest(&g);
             if let Some((i, a, b)) = first_diff(&full, &inc) {
                 return RunOutcome {
                     checks,
@@ -423,7 +384,7 @@ pub fn run_case(case: &Case, fault: Option<Fault>) -> RunOutcome {
             } else {
                 0 // digest resized (e.g. bridge list); skip the diff
             };
-            if let Err(detail) = check_boundedness(class, &report, aff_diff, cut.seq.total_vars(&g))
+            if let Err(detail) = check_boundedness(class, &report, aff_diff, cut.inc.total_vars(&g))
             {
                 return RunOutcome {
                     checks,
@@ -434,23 +395,6 @@ pub fn run_case(case: &Case, fault: Option<Fault>) -> RunOutcome {
                         detail,
                     }),
                 };
-            }
-
-            for (t, state) in &mut cut.par {
-                state.update(&g, &presented);
-                checks += 1;
-                let d = state.digest(&g);
-                if let Some((i, a, b)) = first_diff(&full, &d) {
-                    return RunOutcome {
-                        checks,
-                        failure: Some(OracleFailure {
-                            class,
-                            round: Some(round),
-                            kind: OracleKind::SeqVsPar { threads: *t },
-                            detail: format!("var {i}: batch={a} par={b}"),
-                        }),
-                    };
-                }
             }
 
             if flush {
@@ -522,7 +466,6 @@ mod tests {
             classes,
             source: 0,
             pattern: Some(Pattern::new(vec![0, 0], &[(0, 1)])),
-            threads: vec![1, 2],
             fault: None,
             crash_at: None,
             coalesce: false,
@@ -534,9 +477,8 @@ mod tests {
     fn clean_case_passes_all_oracles_for_all_classes() {
         let outcome = run_case(&small_case(ClassId::ALL.to_vec()), None);
         assert!(outcome.passed(), "{:?}", outcome.failure);
-        // init par checks (5 par classes) + per-round: 7 value + 7
-        // boundedness + 5 par, times 2 rounds.
-        assert_eq!(outcome.checks, 5 + 2 * (7 + 7 + 5));
+        // Per round: 7 value + 7 boundedness checks, times 2 rounds.
+        assert_eq!(outcome.checks, 2 * (7 + 7));
     }
 
     #[test]
@@ -547,7 +489,7 @@ mod tests {
         assert!(outcome.passed(), "{:?}", outcome.failure);
         // The 2-round schedule flushes once (at round 1, when two ΔG
         // batches are pending): plain-mode checks + 7 coalesce checks.
-        assert_eq!(outcome.checks, 5 + 2 * (7 + 7 + 5) + 7);
+        assert_eq!(outcome.checks, 2 * (7 + 7) + 7);
     }
 
     #[test]
@@ -584,7 +526,6 @@ mod tests {
             classes: vec![ClassId::Sssp],
             source: 0,
             pattern: None,
-            threads: vec![1],
             fault: None,
             crash_at: None,
             coalesce: false,

@@ -8,13 +8,11 @@
 //! 1. truncate the schedule right after the failing round;
 //! 2. narrow the class list to the failing class (dropping the Sim
 //!    pattern when Sim leaves the list);
-//! 3. narrow the thread list (a seq-vs-par failure keeps `[1, t]`,
-//!    everything else drops to `[1]`);
-//! 4. ddmin over schedule batches;
-//! 5. ddmin over the remaining unit updates (batch boundaries kept,
+//! 3. ddmin over schedule batches;
+//! 4. ddmin over the remaining unit updates (batch boundaries kept,
 //!    emptied batches dropped);
-//! 6. ddmin over base-graph edges;
-//! 7. flatten labels to all-zero and trim unreferenced trailing nodes.
+//! 5. ddmin over base-graph edges;
+//! 6. flatten labels to all-zero and trim unreferenced trailing nodes.
 //!
 //! Every candidate is re-run through the full oracle stack
 //! ([`run_case`]), so a minimized case is a *certified* reproducer, and
@@ -174,20 +172,7 @@ pub fn shrink_case(
         }
     }
 
-    // 3. Narrow the thread list.
-    let wanted = match failure.kind {
-        OracleKind::SeqVsPar { threads } => vec![1, threads],
-        _ => vec![1],
-    };
-    if best.threads != wanted {
-        let mut c = best.clone();
-        c.threads = wanted;
-        if sh.holds(&c) {
-            best = c;
-        }
-    }
-
-    // 4. ddmin over whole batches.
+    // 3. ddmin over whole batches.
     {
         let base = best.clone();
         let batches = sh.minimize_list(best.schedule.clone(), &|schedule| {
@@ -198,7 +183,7 @@ pub fn shrink_case(
         best.schedule = batches;
     }
 
-    // 5. ddmin over unit updates, preserving batch boundaries.
+    // 4. ddmin over unit updates, preserving batch boundaries.
     {
         let base = best.clone();
         let flat: Vec<FlatOp> = best
@@ -215,7 +200,7 @@ pub fn shrink_case(
         best.schedule = regroup(&flat);
     }
 
-    // 6. ddmin over base-graph edges.
+    // 5. ddmin over base-graph edges.
     {
         let base = best.clone();
         let edges = sh.minimize_list(best.edges.clone(), &|edges| {
@@ -226,7 +211,7 @@ pub fn shrink_case(
         best.edges = edges;
     }
 
-    // 7. Cosmetic reductions: all-zero labels, trim unreferenced tail
+    // 6. Cosmetic reductions: all-zero labels, trim unreferenced tail
     //    nodes (ids are not renumbered, so only the tail can go).
     if best.labels.is_some() {
         let mut c = best.clone();

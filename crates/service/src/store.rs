@@ -436,7 +436,7 @@ impl Store {
         let _span = incgraph_obs::span("service.plan");
         let ctx = PlanContext {
             pattern: Some(random_pattern(g, 4, 6, pattern_seed)),
-            threads: 0,
+            ..PlanContext::default()
         };
         let session = match DataflowSession::from_text(text, g, &ctx) {
             Ok(s) => s,
@@ -1042,7 +1042,7 @@ impl Store {
         for ((_, qid), p) in entry.plans.iter_mut() {
             let ctx = PlanContext {
                 pattern: Some(random_pattern(g, 4, 6, p.pattern_seed)),
-                threads: 0,
+                ..PlanContext::default()
             };
             if let Ok(s) = DataflowSession::from_text(&p.text, g, &ctx) {
                 p.out

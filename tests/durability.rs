@@ -43,7 +43,6 @@ fn all_classes_case() -> Case {
         classes: ClassId::ALL.to_vec(),
         source: 0,
         pattern: Some(Pattern::new(vec![0, 1], &[(0, 1)])),
-        threads: vec![1],
         fault: None,
         crash_at: None,
         coalesce: false,

@@ -11,11 +11,13 @@
 use incgraph::algos::cc::CcSpec;
 use incgraph::algos::sim::SimSpec;
 use incgraph::algos::sssp::SsspSpec;
-use incgraph::algos::{CcState, DfsState, LccState, SimState, SsspState};
+use incgraph::algos::{
+    CcState, DfsState, IncrementalState, LccState, QueryClass, Session, SimState, SsspState,
+};
 use incgraph::baselines::dyndfs::is_valid_dfs_forest;
 use incgraph::baselines::{DynCc, DynDfs, DynDij, DynLcc, IncMatch, RrSssp};
 use incgraph::core::lattice::{check_monotone_at, is_feasible};
-use incgraph::core::Status;
+use incgraph::core::{FixpointAudit, Status};
 use incgraph::graph::rng::SplitMix64;
 use incgraph::graph::{DynamicGraph, Pattern, Update, UpdateBatch};
 
@@ -368,4 +370,94 @@ fn reach_correctness_equation() {
             assert_eq!(inc.reached(), fresh.reached(), "case {case}");
         }
     }
+}
+
+/// A stream dominated by self-loop churn over `n` nodes, with enough
+/// ordinary edges mixed in that the fixpoints actually move between
+/// rounds.
+fn self_loop_stream(n: usize, rounds: usize, seed: u64) -> Vec<UpdateBatch> {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    (0..rounds)
+        .map(|_| {
+            let mut batch = UpdateBatch::new();
+            for _ in 0..8 {
+                let v = rng.gen_range(0..n) as u32;
+                if rng.gen_bool(0.6) {
+                    batch.insert(v, v, rng.gen_range(1..=5u32));
+                } else {
+                    batch.delete(v, v);
+                }
+                let u = rng.gen_range(0..n) as u32;
+                let w = rng.gen_range(0..n) as u32;
+                if rng.gen_bool(0.5) {
+                    batch.insert(u, w, rng.gen_range(1..=5u32));
+                } else {
+                    batch.delete(u, w);
+                }
+            }
+            batch
+        })
+        .collect()
+}
+
+/// Drives `class` through `stream` from `g0` and checks, before the
+/// first round and after every round, that the maintained state passes
+/// the full fixpoint audit and equals a fresh batch run.
+fn track_batch_under_audit(
+    label: &str,
+    class: QueryClass,
+    g0: &DynamicGraph,
+    stream: &[UpdateBatch],
+) {
+    let build = |g: &DynamicGraph| {
+        let builder = Session::builder(class);
+        let builder = match class {
+            QueryClass::Sssp | QueryClass::Reach => builder.source(0),
+            QueryClass::Sim => builder.pattern(Pattern::new(vec![0], &[])),
+            _ => builder,
+        };
+        builder.build(g).expect("build")
+    };
+    let audit = FixpointAudit::full();
+    let mut g = g0.clone();
+    let mut inc = build(&g);
+    for round in 0..=stream.len() {
+        if round > 0 {
+            let applied = stream[round - 1].apply(&mut g);
+            inc.update(&g, &applied);
+        }
+        let report = inc.audit(&g, &audit);
+        assert!(report.is_clean(), "{label} round {round}: {report:?}");
+        assert_eq!(
+            inc.digest(&g),
+            build(&g).digest(&g),
+            "{label} round {round}"
+        );
+    }
+}
+
+/// Degenerate inputs for the engine-backed classes: graphs with no
+/// status variables at all, a single node whose only edge is its own
+/// self-loop, and self-loop churn on a directed graph, where self-loops
+/// are real arcs that must neither shorten SSSP distances nor create
+/// spurious reachability. Undirected graphs reject every self-loop op
+/// as a no-op.
+#[test]
+fn degenerate_graphs_track_batch_under_audit() {
+    let empty = DynamicGraph::new(false, 0);
+    track_batch_under_audit("cc/0-nodes", QueryClass::Cc, &empty, &[]);
+    track_batch_under_audit("lcc/0-nodes", QueryClass::Lcc, &empty, &[]);
+
+    let stream = self_loop_stream(1, 4, 900);
+    let one = DynamicGraph::new(true, 1);
+    track_batch_under_audit("sssp/1-node", QueryClass::Sssp, &one, &stream);
+    track_batch_under_audit("reach/1-node", QueryClass::Reach, &one, &stream);
+    track_batch_under_audit("sim/1-node", QueryClass::Sim, &one, &stream);
+    let one_undirected = DynamicGraph::new(false, 1);
+    track_batch_under_audit("cc/1-node", QueryClass::Cc, &one_undirected, &stream);
+
+    let g = incgraph::graph::gen::uniform(60, 150, true, 5, 2, 47);
+    let stream = self_loop_stream(60, 6, 947);
+    track_batch_under_audit("sssp/self-loops", QueryClass::Sssp, &g, &stream);
+    track_batch_under_audit("reach/self-loops", QueryClass::Reach, &g, &stream);
 }
